@@ -1,8 +1,9 @@
 """E22 (harness) -- sparse-engine scaling: edgelist vs contracting to 5M edges.
 
 Times the two sparse engines on a ladder of random edge lists up to one
-million vertices / five million edges, plus the buffered edge-list I/O
-fast path against the strict line parser:
+million vertices / five million edges, graph construction from raw
+pairs on the same rungs, plus the buffered edge-list I/O fast path
+against the strict line parser:
 
 * ``edgelist``    -- :func:`repro.hirschberg.edgelist
   .connected_components_edgelist`: every outer iteration scatters over
@@ -10,14 +11,21 @@ fast path against the strict line parser:
 * ``contracting`` -- :func:`repro.hirschberg.contracting
   .connected_components_contracting`: supervertices are relabelled after
   every outer iteration and settled edges dropped, so iteration ``t``
-  touches only the surviving ``(n_t, m_t)``.
+  touches only the surviving ``(n_t, m_t)``;
+* ``from_arrays`` -- :meth:`repro.hirschberg.edgelist.EdgeListGraph
+  .from_arrays` on the rung's edges as raw input: every edge in both
+  orientations, half of them once more, plus self-loops, shuffled.  The
+  constructor drops the loops and duplicates; its output must equal the
+  rung's graph.  ``m`` is the distinct edge count, ``raw_pairs`` the
+  input length.
 
 Labels are verified by cross-engine agreement on every rung and against
 the union-find oracle on rungs small enough for the Python-loop oracle.
 The numbers are written as machine-readable JSON (``BENCH_sparse.json``
 at the repo root when run as a script); the committed copy doubles as
 CI's performance baseline via ``--check`` (fail when any overlapping
-(engine, n, m) point's throughput drops more than 3x below it).
+(row, n, m) point's throughput drops more than 3x below it; the rows
+are the two engines and ``from_arrays``).
 
 Run standalone (CI runs the smoke variant)::
 
@@ -50,12 +58,16 @@ from repro.graphs.io import dumps_edge_list_sparse, loads_edge_list_sparse
 from repro.graphs.union_find import UnionFind
 from repro.hirschberg.contracting import connected_components_contracting
 from repro.hirschberg.edgelist import (
+    EdgeListGraph,
     connected_components_edgelist,
     random_edge_list,
 )
 
 #: Engines reported, in report order.
 ENGINES = ("edgelist", "contracting")
+
+#: Rows of ``results`` per rung: the engines, then construction.
+ROWS = ENGINES + ("from_arrays",)
 
 #: The full ladder of (n, requested m) rungs.  The first rung is shared
 #: with ``--smoke`` so the committed full report contains the baseline
@@ -91,8 +103,45 @@ def _time_best(fn, repeats: int) -> float:
     return best
 
 
+def raw_pairs(graph: EdgeListGraph, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """Raw endpoint arrays that normalise to ``graph``: every edge in
+    both orientations, half of them once more, and a self-loop per
+    twentieth vertex, shuffled."""
+    rng = np.random.default_rng(seed)
+    half = graph.src.size // 2
+    lo, hi = graph.src[:half], graph.dst[:half]
+    again = rng.permutation(half)[: half // 2]
+    loops = rng.permutation(graph.n)[: max(1, graph.n // 20)]
+    u = np.concatenate([lo, hi, hi[again], loops])
+    v = np.concatenate([hi, lo, lo[again], loops])
+    order = rng.permutation(u.size)
+    return u[order], v[order]
+
+
+def run_construction(graph: EdgeListGraph, seed: int = 0,
+                     repeats: int = 2) -> dict:
+    """Time ``from_arrays`` on raw pairs; verify it rebuilds ``graph``."""
+    u, v = raw_pairs(graph, seed)
+    built = EdgeListGraph.from_arrays(graph.n, u, v)
+    assert np.array_equal(built.src, graph.src) and np.array_equal(
+        built.dst, graph.dst
+    ), f"from_arrays did not rebuild the rung at n={graph.n}"
+    seconds = _time_best(
+        lambda: EdgeListGraph.from_arrays(graph.n, u, v), repeats
+    )
+    return {
+        "engine": "from_arrays",
+        "n": graph.n,
+        "m": graph.edge_count,
+        "raw_pairs": int(u.size),
+        "seconds": seconds,
+        "edges_per_sec": graph.edge_count / seconds,
+    }
+
+
 def run_point(n: int, m: int, seed: int = 0, repeats: int = 2) -> List[dict]:
-    """Time both engines on one rung; verify labels before timing."""
+    """Time both engines on one rung, then construction from raw pairs;
+    verify labels before timing."""
     graph = random_edge_list(n, m, seed=seed)
     labels = {name: _SOLVERS[name](graph) for name in ENGINES}
     baseline = labels[ENGINES[0]]
@@ -118,6 +167,7 @@ def run_point(n: int, m: int, seed: int = 0, repeats: int = 2) -> List[dict]:
             "seconds": seconds,
             "edges_per_sec": graph.edge_count / seconds,
         })
+    results.append(run_construction(graph, seed=seed, repeats=repeats))
     return results
 
 
@@ -181,13 +231,13 @@ def validate_report(doc: dict) -> None:
             raise ValueError(f"report missing key {key!r}")
     if doc["benchmark"] != "sparse_scaling":
         raise ValueError(f"unexpected benchmark id {doc['benchmark']!r}")
-    expected = len(doc["config"]["points"]) * len(ENGINES)
+    expected = len(doc["config"]["points"]) * len(ROWS)
     if len(doc["results"]) != expected:
         raise ValueError(
             f"expected {expected} results, got {len(doc['results'])}"
         )
     for r in doc["results"]:
-        if r.get("engine") not in ENGINES:
+        if r.get("engine") not in ROWS:
             raise ValueError(f"unknown engine in results: {r.get('engine')!r}")
         for field in ("n", "m", "seconds", "edges_per_sec"):
             value = r.get(field)
@@ -202,7 +252,7 @@ def validate_report(doc: dict) -> None:
 def check_against_baseline(doc: dict, baseline: dict,
                            factor: float = CHECK_FACTOR) -> List[str]:
     """Regression guard: throughput must stay within ``factor`` of the
-    committed baseline on every (engine, n, m) point both reports share.
+    committed baseline on every (row, n, m) point both reports share.
 
     Returns the list of violations (empty = pass).
     """
@@ -322,6 +372,16 @@ class TestSparseScaling:
         for r in slowed["results"]:
             r["edges_per_sec"] /= 10.0
         assert check_against_baseline(slowed, doc)
+
+    def test_check_guard_covers_construction(self):
+        doc = build_report([(500, 1_000)], repeats=1)
+        slowed = json.loads(json.dumps(doc))
+        for r in slowed["results"]:
+            if r["engine"] == "from_arrays":
+                assert r["raw_pairs"] > 2 * r["m"]
+                r["edges_per_sec"] /= 10.0
+        (problem,) = check_against_baseline(slowed, doc)
+        assert "from_arrays" in problem
 
     def test_check_guard_requires_overlap(self):
         doc = build_report([(500, 1_000)], repeats=1)

@@ -55,12 +55,9 @@ import numpy as np
 
 from repro.gca.instrumentation import AccessLog
 from repro.graphs.adjacency import AdjacencyMatrix
-from repro.hirschberg.edgelist import (
-    EdgeListGraph,
-    _PACK_LIMIT,
-    _canonical_pairs,
-)
+from repro.hirschberg.edgelist import EdgeListGraph
 from repro.util.rng import SeedLike, as_generator
+from repro.util.setops import _PACK_LIMIT, unique_pairs
 from repro.util.validation import check_positive
 
 Mapping = Callable[[int], int]
@@ -92,7 +89,7 @@ def _edge_set_sums(key: np.ndarray) -> Tuple[int, int]:
     """Two order-invariant 64-bit reductions of a duplicate-free
     edge-key set: the wrapping sum and the xor of the per-key splitmix64
     hashes (AdHash-style multiset hashing).  Both reductions commute, so
-    no sort is needed -- the O(m log m) ``np.unique`` that dominated the
+    no sort is needed -- the O(m log m) dedup sort that dominated the
     digest cost for large sparse graphs is gone from every path that can
     prove its keys are already duplicate-free.  One mixing pass feeds
     both lanes; a set difference must escape a 128-bit constraint to
@@ -123,7 +120,7 @@ def _constructor_canonical_keys(graph: "EdgeListGraph") -> "np.ndarray | None":
     trusted outright (the stamp travels only through the constructors).
     Unstamped graphs are verified with a handful of O(m) vector
     comparisons, still an order of magnitude cheaper than re-deriving
-    the canonical set with ``np.unique``.
+    the canonical set with :func:`~repro.util.setops.unique_pairs`.
     """
     m = graph.src.size
     if m & 1 or graph.n > _PACK_LIMIT:
@@ -138,7 +135,7 @@ def _constructor_canonical_keys(graph: "EdgeListGraph") -> "np.ndarray | None":
             return None
         key = u * np.int64(graph.n) + v
         if half > 1 and not bool(np.all(key[1:] > key[:-1])):
-            return None  # not duplicate-free; let np.unique sort it out
+            return None  # not duplicate-free; let unique_pairs sort it out
         return key
     return u * np.int64(graph.n) + v
 
@@ -159,7 +156,7 @@ def canonical_edge_pairs(graph: GraphInput) -> Tuple[int, np.ndarray, np.ndarray
         lo = np.minimum(graph.src, graph.dst)
         hi = np.maximum(graph.src, graph.dst)
         keep = lo != hi
-        lo, hi = _canonical_pairs(graph.n, lo[keep], hi[keep])
+        lo, hi = unique_pairs(graph.n, lo[keep], hi[keep])
         return graph.n, lo, hi
     mat = graph.matrix if isinstance(graph, AdjacencyMatrix) else np.asarray(graph)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -195,7 +192,7 @@ def graph_fingerprint(graph: GraphInput) -> str:
     sorting it.  Edge lists in the form the constructors emit are
     verified duplicate-free with O(m) comparisons and skip
     canonicalisation entirely; only inputs with duplicated or unordered
-    edges pay the ``np.unique`` fallback.
+    edges pay the :func:`~repro.util.setops.unique_pairs` sort.
 
     Fingerprints of :class:`EdgeListGraph` inputs are memoised on the
     instance: the dataclass is frozen, and the serve layer treats

@@ -64,6 +64,7 @@ from repro.hirschberg.contracting import connected_components_contracting
 from repro.hirschberg.edgelist import EdgeListGraph, connected_components_edgelist
 from repro.hirschberg.pram_impl import hirschberg_on_pram
 from repro.hirschberg.reference import hirschberg_reference
+from repro.util.setops import distinct_count
 
 GraphLike = Union[AdjacencyMatrix, np.ndarray, EdgeListGraph]
 
@@ -115,7 +116,7 @@ class ComponentsResult:
     @property
     def component_count(self) -> int:
         """Number of connected components."""
-        return int(np.unique(self.labels).size)
+        return distinct_count(self.labels)
 
     def components(self) -> List[List[int]]:
         """The components as sorted node lists, ordered by representative."""

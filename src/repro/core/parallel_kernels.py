@@ -42,9 +42,11 @@ variant), both hold with ``f`` idempotent and edge-constant, which
 forces ``f[x]`` = minimum id of ``x``'s component -- the same canonical
 labelling every other engine emits.
 
-Kernels are allocation-free modulo NumPy gather temporaries of chunk
-size; the driver (:mod:`repro.hirschberg.parallel`) preallocates every
-persistent array once at setup.
+Kernels are allocation-free modulo NumPy gather temporaries of at most
+:data:`HOOK_BLOCK` edges (the hook walks its chunk in blocks, so a pool
+worker's scratch does not grow with the graph); the driver
+(:mod:`repro.hirschberg.parallel`) preallocates every persistent array
+once at setup.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ VARIANTS = ("sv", "fastsv", "stochastic")
 #: deterministic round -- a quiet stochastic round only proves the
 #: coins said no.
 DETERMINISTIC = -1
+
+#: Edges one hook step gathers at a time.  Any split of a chunk gives
+#: the same partial (MIN-combine), so the block only bounds the gather
+#: temporaries: ~1 MB each instead of ``8 * chunk`` bytes.
+HOOK_BLOCK = 1 << 17
 
 #: splitmix64 constants for the per-round vertex coins (cheap, stateless,
 #: identical in every worker -- the coin for vertex ``i`` in round ``r``
@@ -142,10 +149,24 @@ def hook_partial(
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     n = f.shape[0]
     partial[...] = n  # sentinel: one past any label
-    if hi <= lo:
-        return 0
-    u = src[lo:hi]
-    v = dst[lo:hi]
+    proposed = 0
+    for start in range(lo, hi, HOOK_BLOCK):
+        stop = min(start + HOOK_BLOCK, hi)
+        proposed += _hook_block(
+            f, src[start:stop], dst[start:stop], partial, variant, seed
+        )
+    return proposed
+
+
+def _hook_block(
+    f: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    partial: np.ndarray,
+    variant: str,
+    seed: int,
+) -> int:
+    """Scatter-MIN one block of edges' proposals into ``partial``."""
     fu = f[u]
     fv = f[v]
     if variant == "sv":

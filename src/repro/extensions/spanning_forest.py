@@ -35,6 +35,7 @@ from repro.hirschberg.steps import (
 )
 from repro.util.intmath import jump_iterations, outer_iterations
 from repro.util.sentinels import infinity_for
+from repro.util.setops import distinct_count
 
 GraphLike = Union[AdjacencyMatrix, np.ndarray]
 
@@ -57,7 +58,7 @@ class SpanningForestResult:
 
     @property
     def component_count(self) -> int:
-        return int(np.unique(self.labels).size)
+        return distinct_count(self.labels)
 
 
 def _argmin_step2(g: AdjacencyMatrix, C: np.ndarray):

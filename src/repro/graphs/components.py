@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.graphs.adjacency import AdjacencyMatrix
 from repro.graphs.union_find import UnionFind
+from repro.util.setops import distinct_count, sorted_unique
 
 GraphLike = Union[AdjacencyMatrix, np.ndarray]
 
@@ -87,7 +88,7 @@ def canonical_labels(graph: GraphLike) -> np.ndarray:
 
 def count_components(graph: GraphLike) -> int:
     """Number of connected components."""
-    return int(np.unique(canonical_labels(graph)).size)
+    return distinct_count(canonical_labels(graph))
 
 
 def is_canonical_labelling(graph: GraphLike, labels: np.ndarray) -> bool:
@@ -116,7 +117,7 @@ def components_scipy(graph: GraphLike) -> np.ndarray:
     )
     # scipy labels components arbitrarily; renumber to minimum-index reps
     labels = np.empty(g.n, dtype=np.int64)
-    for comp in np.unique(raw):
+    for comp in sorted_unique(raw):
         members = np.flatnonzero(raw == comp)
         labels[members] = members.min()
     return labels

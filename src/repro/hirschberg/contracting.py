@@ -58,8 +58,9 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graphs.adjacency import AdjacencyMatrix
-from repro.hirschberg.edgelist import _PACK_LIMIT, EdgeListGraph
+from repro.hirschberg.edgelist import EdgeListGraph
 from repro.util.intmath import jump_iterations, outer_iterations
+from repro.util.setops import _PACK_LIMIT, distinct_count, unique_pairs
 
 GraphLike = Union[AdjacencyMatrix, np.ndarray]
 
@@ -67,7 +68,7 @@ GraphLike = Union[AdjacencyMatrix, np.ndarray]
 #: the table costs O(k^2) space but the dedup is pure linear passes.
 _DEDUP_TABLE_K = 4096
 
-#: Dedup via a packed ``np.unique`` sort below this directed edge count;
+#: Dedup via a packed-key sort below this directed edge count;
 #: beyond it a comparison sort costs more than the duplicates it saves.
 _DEDUP_SORT_M = 1 << 19
 
@@ -107,7 +108,7 @@ class ContractingResult:
 
     @property
     def component_count(self) -> int:
-        return int(np.unique(self.labels).size)
+        return distinct_count(self.labels)
 
     @property
     def total_work(self) -> int:
@@ -156,12 +157,11 @@ def _dedup_edges(
         key = np.flatnonzero(table)
         return key // k, key % k, True
     if src.size <= _DEDUP_SORT_M and k <= _PACK_LIMIT:
-        # the k guard keeps the packed key inside int64: beyond the
-        # limit ``src * k + dst`` would wrap silently and the "dedup"
-        # would merge unrelated edges -- skipping dedup is always safe
-        # (duplicates only cost time, never correctness)
-        key = np.unique(src * np.int64(k) + dst)
-        return key // k, key % k, True
+        # past the packing limit the pairs would need a lexsort, which
+        # costs more than the duplicates it saves -- skipping dedup is
+        # always safe (duplicates only cost time, never correctness)
+        src, dst = unique_pairs(k, src, dst)
+        return src, dst, True
     return src, dst, False
 
 

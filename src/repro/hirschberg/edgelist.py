@@ -26,38 +26,10 @@ import numpy as np
 
 from repro.graphs.adjacency import AdjacencyMatrix
 from repro.util.intmath import jump_iterations, outer_iterations
+from repro.util.setops import _PACK_LIMIT, distinct_count, unique_pairs
 from repro.util.validation import check_positive
 
 GraphLike = Union[AdjacencyMatrix, np.ndarray]
-
-#: Largest ``n`` for which an (u, v) pair can be packed into one int64.
-#: The exact overflow boundary for the worst packed key ``n * n + n - 1``
-#: (the scatter-argmin sentinel) is ``floor(sqrt(2**63)) - 1 =
-#: 3_037_000_498``; the limit sits deliberately below it so every packed
-#: form in this package (``u * n + v`` with ``u, v < n``, and the argmin
-#: sentinel) stays inside int64 with margin, including at the
-#: ``n = 2**31`` boundary (which packs fine: ``2**62 < 2**63``).  Beyond
-#: the limit the constructors fall back to lexsort; code paths with no
-#: fallback raise a clear ``ValueError`` instead of wrapping silently.
-_PACK_LIMIT = 3_000_000_000
-
-
-def _canonical_pairs(
-    n: int, lo: np.ndarray, hi: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted, duplicate-free ``(lo, hi)`` pairs with ``lo < hi``."""
-    if lo.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    if n <= _PACK_LIMIT:
-        key = np.unique(lo * np.int64(n) + hi)
-        return key // n, key % n
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    keep = np.ones(lo.size, dtype=bool)
-    keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return lo[keep], hi[keep]
-
 
 @dataclass(frozen=True)
 class EdgeListGraph:
@@ -112,9 +84,9 @@ class EdgeListGraph:
                 )
         if not assume_canonical:
             keep = u != v  # drop self-loops up front
-            lo = np.minimum(u[keep], v[keep])
-            hi = np.maximum(u[keep], v[keep])
-            u, v = _canonical_pairs(n, lo, hi)
+            lo, hi = u[keep], v[keep]  # fresh copies: hi may be overwritten
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
+            u, v = unique_pairs(n, lo, hi)
         if u.size:
             src = np.concatenate([u, v])
             dst = np.concatenate([v, u])
@@ -167,7 +139,7 @@ class EdgeListResult:
 
     @property
     def component_count(self) -> int:
-        return int(np.unique(self.labels).size)
+        return distinct_count(self.labels)
 
 
 def _scatter_min(target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
@@ -247,7 +219,7 @@ def random_edge_list(
     keep = u != v
     lo = np.minimum(u[keep], v[keep])
     hi = np.maximum(u[keep], v[keep])
-    lo, hi = _canonical_pairs(n, lo, hi)
+    lo, hi = unique_pairs(n, lo, hi)
     return EdgeListGraph.from_arrays(n, lo[:m], hi[:m], assume_canonical=True)
 
 

@@ -44,6 +44,7 @@ import numpy as np
 from repro.graphs.adjacency import AdjacencyMatrix
 from repro.pram.machine import PRAM, StepContext
 from repro.pram.memory import AccessMode, CombinePolicy, SharedMemory
+from repro.util.setops import distinct_count
 
 GraphLike = Union[AdjacencyMatrix, np.ndarray]
 
@@ -63,7 +64,7 @@ class FastSVResult:
 
     @property
     def component_count(self) -> int:
-        return int(np.unique(self.labels).size)
+        return distinct_count(self.labels)
 
 
 def fastsv_reference(graph: GraphLike, max_rounds: int = None) -> FastSVResult:

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.core import parallel_kernels as pk
 from repro.hirschberg.edgelist import EdgeListGraph
+from repro.util.setops import distinct_count
 
 #: Base seed for the stochastic variant's per-round coins (any
 #: non-negative value; per-round seeds are ``seed + round``).
@@ -69,7 +70,7 @@ class ParallelResult:
 
     @property
     def component_count(self) -> int:
-        return int(np.unique(self.labels).size)
+        return distinct_count(self.labels)
 
 
 def connected_components_parallel(
@@ -191,7 +192,8 @@ def _solve_pooled(
     All segments are created here and owned for the whole solve; the
     workers attach by name once (their per-worker mapping cache makes
     every later round re-map nothing) and only :class:`_Task`
-    descriptors cross the pipes.
+    descriptors cross the pipes.  On the way out the segments are
+    unlinked and the workers told to drop their mappings of them.
     """
     from repro.analysis.shm import SharedArray, SharedArrayRef
 
@@ -265,6 +267,7 @@ def _solve_pooled(
             block.close()
         for block in blocks:
             block.unlink()
+        pool.forget_segments([block.ref.name for block in blocks])
     return ParallelResult(
         labels=labels, variant=variant, rounds=rounds,
         confirm_rounds=confirm, chunks=width,

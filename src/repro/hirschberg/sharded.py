@@ -13,12 +13,13 @@ decomposition:
    configured number of concurrent shard solves fits the memory budget.
 2. **Per-shard contraction** -- each shard is a subgraph over the
    *global* vertex ids.  A shard solve compacts the ids it actually
-   touches (``np.unique``), runs the existing contracting CSR engine
+   touches (a sort ranks them ``0..t-1`` in id order), runs the
+   existing contracting CSR engine
    (:func:`~repro.hirschberg.contracting.connected_components_contracting`),
    and emits its **frontier**: star pairs ``(v, rep)`` linking every
    touched vertex to its shard-local component representative (the
-   minimum global id in that shard-component -- ``np.unique`` returns
-   sorted ids, so the local minimum index *is* the global minimum).
+   minimum global id in that shard-component -- the compaction keeps
+   id order, so the local minimum index *is* the global minimum).
    Shards run either inline or on the PR 4
    :class:`~repro.serve.executor.PoolExecutor` -- endpoint arrays
    travel through shared-memory slabs with zero pickling, and a bounded
@@ -72,6 +73,7 @@ from repro.analysis.shards import (
     spot_check_labels,
 )
 from repro.hirschberg.edgelist import EdgeListGraph
+from repro.util.setops import distinct_count
 
 __all__ = [
     "ShardedResult",
@@ -112,8 +114,8 @@ def solve_shard_arrays(
     either way), and reduced to pairs ``(vertex, representative)`` for
     every touched vertex whose shard-local representative differs from
     itself.  Representatives are global minimum ids of their
-    shard-component (``np.unique`` sorts, so local index order is
-    global id order) -- both engines emit exactly that canonical
+    shard-component (the compaction sorts the touched ids, so local
+    index order is global id order) -- both engines emit exactly that canonical
     labelling, so the frontier is engine-independent.
     """
     u = np.asarray(u, dtype=np.int64).ravel()
@@ -172,7 +174,7 @@ class ShardedResult:
 
     @property
     def components(self) -> int:
-        return int(np.unique(self.labels).size)
+        return distinct_count(self.labels)
 
 
 def _as_stream(

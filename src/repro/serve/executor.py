@@ -90,7 +90,7 @@ class _Task:
     """Picklable batch descriptor; the arrays stay in shared memory."""
 
     seq: int
-    kind: str   # "dense" | "sparse" | "shard" | "lt_hook" | "lt_jump" | "ping"
+    kind: str   # "dense" | "sparse" | "shard" | "lt_hook" | "lt_jump" | "ping" | "forget"
     out: Optional[SharedArrayRef] = None
     stack: Optional[SharedArrayRef] = None   # dense: (B, S, S) adjacency
     src: Optional[SharedArrayRef] = None     # sparse/shard: edge arrays
@@ -102,6 +102,7 @@ class _Task:
     lo: int = 0                   # lt_*: chunk bounds (edges / vertices)
     hi: int = 0
     seed: int = -1                # lt_hook: stochastic round seed
+    names: Tuple[str, ...] = ()   # forget: segments the parent unlinked
 
 
 # ----------------------------------------------------------------------
@@ -109,9 +110,13 @@ class _Task:
 # ----------------------------------------------------------------------
 #: Per-worker cache of attached segments (name -> SharedMemory).  The
 #: parent's slab pool recycles a handful of names, so after warm-up a
-#: worker maps no new memory per batch.  Bounded: oldest mapping evicted
-#: past this many entries (discarded transient slabs would otherwise pin
-#: their orphaned pages forever).
+#: worker maps no new memory per batch.  A mapping outlives the unlink
+#: of its segment and keeps the pages resident, so the parent sends a
+#: ``"forget"`` task naming every segment it unlinks after a worker may
+#: have attached it (:meth:`PoolExecutor.forget_segments`), and each
+#: worker closes its mapping on receipt.  Past this many entries the
+#: oldest mapping is evicted, which bounds the count of live ones; it
+#: bounds neither their bytes nor how long an unlinked one stays mapped.
 _ATTACH_CACHE_MAX = 32
 
 
@@ -127,6 +132,15 @@ def _attach_view(cache: Dict[str, "mp.shared_memory.SharedMemory"],
         cache[ref.name] = shm
     return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf,
                       offset=ref.offset)
+
+
+def _forget(cache: Dict[str, "mp.shared_memory.SharedMemory"],
+            names: Sequence[str]) -> None:
+    """Close this worker's mappings of segments the parent unlinked."""
+    for name in names:
+        shm = cache.pop(name, None)
+        if shm is not None:
+            shm.close()
 
 
 def _run_task(task: _Task, cache: Dict) -> int:
@@ -230,6 +244,9 @@ def _worker_main(worker_id: int, task_r, result_w,
                 break  # parent went away
             if task is None:
                 break
+            if task.kind == "forget":  # no reply: nothing waits on it
+                _forget(cache, task.names)
+                continue
             try:
                 token = _run_task(task, cache)
                 result_w.send(("done", task.seq, pid, token, None))
@@ -533,11 +550,35 @@ class PoolExecutor:
         """Unlink (never recycle) slabs a failed task may still write."""
         for slab in slabs:
             slab.transient = True
-            self._slabs.release(slab)
+        self._release(slabs)
 
     def _release(self, slabs: Sequence[Slab]) -> None:
+        unlinked = [slab.block.ref.name for slab in slabs if slab.transient]
         for slab in slabs:
             self._slabs.release(slab)
+        if unlinked:
+            self.forget_segments(unlinked)
+
+    def forget_segments(self, names: Sequence[str]) -> None:
+        """Tell every worker to close its mapping of ``names``.
+
+        Call it once the named segments are unlinked and no task that
+        uses them is in flight: a worker's cached mapping would
+        otherwise keep the unlinked pages resident.  Fire-and-forget --
+        each worker handles the message before its next task, and a
+        worker whose pipe is broken has lost its mappings with its
+        process.
+        """
+        with self._lock:
+            if self._state != "running":
+                return
+            handles = [h for h in self._handles if h is not None]
+        task = _Task(seq=0, kind="forget", names=tuple(names))
+        for handle in handles:
+            try:
+                handle.task_w.send(task)
+            except (OSError, ValueError):
+                pass
 
     def _run(self, build, collect):
         """Submit/await/retry-once skeleton shared by the solve paths.

@@ -50,6 +50,7 @@ from repro.hirschberg.edgelist import (
     connected_components_edgelist,
 )
 from repro.serve.request import GraphLike
+from repro.util.setops import distinct_count
 
 
 class WorkerDied(RuntimeError):
@@ -203,7 +204,7 @@ def _solve_shared_task(graph_ref: SharedEdgeListRef, slot_ref,
     try:
         labels = connected_components(graph, engine=engine).labels
         slot.array[...] = labels
-        return int(np.unique(labels).size)
+        return distinct_count(labels)
     finally:
         slot.close()
         for h in handles:

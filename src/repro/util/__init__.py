@@ -12,6 +12,9 @@ This package deliberately contains only small, dependency-free helpers:
   by the analysis reports and the benchmark harnesses.
 * :mod:`repro.util.rng` -- a thin wrapper around :class:`numpy.random.Generator`
   providing deterministic seeding conventions.
+* :mod:`repro.util.setops` -- the sort-based dedup, pair dedup and
+  distinct count every production-layer engine uses instead of a bare
+  ``np.unique``.
 """
 
 from repro.util.intmath import (

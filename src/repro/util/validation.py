@@ -10,6 +10,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.util.setops import sorted_unique
+
 
 def check_positive(name: str, value: int, minimum: int = 1) -> int:
     """Check that ``value`` is an integer ``>= minimum`` and return it.
@@ -50,10 +52,11 @@ def check_symmetric_binary(name: str, matrix: np.ndarray) -> np.ndarray:
     matrix as ``np.int8``.
     """
     matrix = check_square(name, matrix)
-    values = np.unique(matrix)
-    if not np.isin(values, (0, 1)).all():
+    stray = (matrix != 0) & (matrix != 1)
+    if stray.any():
         raise ValueError(
-            f"{name} must contain only 0/1 entries, found values {values[:10]}"
+            f"{name} must contain only 0/1 entries, found values "
+            f"{sorted_unique(matrix[stray])[:10]}"
         )
     if not np.array_equal(matrix, matrix.T):
         raise ValueError(f"{name} must be symmetric (undirected graph)")

@@ -205,13 +205,14 @@ class TestPackLimitBoundary:
     def test_lexsort_fallback_agrees_with_packed_path(self):
         """Past _PACK_LIMIT the constructors switch to lexsort; the two
         canonicalisations must produce the same pair set."""
-        from repro.hirschberg.edgelist import _PACK_LIMIT, _canonical_pairs
+        from repro.hirschberg.edgelist import _PACK_LIMIT
+        from repro.util.setops import unique_pairs
 
         rng = np.random.default_rng(0)
         lo = rng.integers(0, 1_000, size=500).astype(np.int64)
         hi = lo + 1 + rng.integers(0, 1_000, size=500).astype(np.int64)
-        packed = _canonical_pairs(_PACK_LIMIT, lo, hi)
-        lexed = _canonical_pairs(_PACK_LIMIT + 1, lo, hi)
+        packed = unique_pairs(_PACK_LIMIT, lo, hi)
+        lexed = unique_pairs(_PACK_LIMIT + 1, lo, hi)
         assert np.array_equal(packed[0], lexed[0])
         assert np.array_equal(packed[1], lexed[1])
 

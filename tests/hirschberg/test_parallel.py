@@ -76,6 +76,25 @@ class TestKernels:
             np.minimum(merged, p, out=merged)
         assert np.array_equal(merged, serial)
 
+    @pytest.mark.parametrize("variant", pk.VARIANTS)
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_hook_is_block_invariant(self, variant, block, monkeypatch):
+        """Walking a chunk in blocks of any size proposes the same
+        updates and yields the same partial as one gather over it."""
+        g = random_edge_list(200, 600, seed=9)
+        rng = np.random.default_rng(2)
+        f = np.minimum(np.arange(g.n), rng.integers(0, g.n, g.n))
+        seed = 77 if variant == "stochastic" else pk.DETERMINISTIC
+        lo, hi = 5, g.src.size - 3
+        whole = np.empty(g.n, dtype=np.int64)
+        count = pk.hook_partial(f, g.src, g.dst, lo, hi, whole, variant, seed)
+        monkeypatch.setattr(pk, "HOOK_BLOCK", block)
+        blocked = np.empty(g.n, dtype=np.int64)
+        assert pk.hook_partial(
+            f, g.src, g.dst, lo, hi, blocked, variant, seed
+        ) == count
+        assert np.array_equal(blocked, whole)
+
     def test_jump_chunk_writes_only_its_slice(self):
         front = np.array([0, 0, 1, 2, 4, 4, 5], dtype=np.int64)
         back = np.full(7, -7, dtype=np.int64)

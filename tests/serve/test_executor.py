@@ -147,6 +147,71 @@ class TestCrashRecovery:
         ), "crash recovery leaked shared segments"
 
 
+
+def _unlinked_psm_mappings(pid: int) -> int:
+    """Mappings of unlinked ``multiprocessing`` segments in ``pid``."""
+    with open(f"/proc/{pid}/maps", encoding="ascii", errors="replace") as fh:
+        return sum(1 for line in fh if "/psm_" in line and "(deleted)" in line)
+
+
+def _rss_shmem_kb(pid: int) -> int:
+    with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("RssShmem:"):
+                return int(line.split()[1])
+    return 0
+
+
+def _settled_worker_shmem(pool: PoolExecutor) -> list:
+    """Per-worker ``RssShmem`` once no worker maps an unlinked segment.
+
+    The forget message is fire-and-forget, so give the workers a
+    bounded moment to read it."""
+    deadline = time.monotonic() + 10.0
+    while True:
+        stale = {pid: _unlinked_psm_mappings(pid) for pid in pool.worker_pids()}
+        if not any(stale.values()):
+            return [_rss_shmem_kb(pid) for pid in pool.worker_pids()]
+        if time.monotonic() > deadline:
+            pytest.fail(f"workers still map unlinked segments: {stale}")
+        time.sleep(0.02)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs /proc/<pid>/maps")
+class TestWorkerMappings:
+    """Workers drop their mapping of a segment the parent unlinked, so
+    repeated solves leave no unlinked pages resident in the pool."""
+
+    def test_pooled_parallel_solves_leave_no_unlinked_mappings(self):
+        from repro.hirschberg.parallel import connected_components_parallel
+
+        g = random_edge_list(50_000, 100_000, seed=5)
+        expected = _oracle_sparse(g)
+        with PoolExecutor(workers=2, calibrate=False) as pool:
+            shmem = []
+            for _ in range(5):
+                labels = connected_components_parallel(g, pool=pool).labels
+                assert np.array_equal(labels, expected)
+                shmem.append(_settled_worker_shmem(pool))
+        # each solve maps ~5 MB of segments into every worker; none of
+        # it may stay resident into the next solve
+        for worker in range(2):
+            series = [row[worker] for row in shmem]
+            assert max(series) - series[0] < 512, series
+
+    def test_transient_slabs_are_forgotten(self):
+        """A slab pool over budget makes every slab transient: unlinked
+        on release, so the workers must drop those mappings too."""
+        g = random_edge_list(2_000, 5_000, seed=6)
+        with PoolExecutor(workers=2, calibrate=False,
+                          slab_budget=1) as pool:
+            for _ in range(4):
+                (labels,) = pool.solve_coalesced([g])
+                assert np.array_equal(labels, _oracle_sparse(g))
+            _settled_worker_shmem(pool)
+
+
 class TestServerPoolExecutor:
     def _config(self, **overrides):
         defaults = dict(
